@@ -18,6 +18,12 @@
 //!   sweep — window 1 degenerates to one random fault per reference,
 //! * Alg-Unnest, Alg-Project, and the hash set operations.
 //!
+//! Operators exchange columnar batches (see [`mod@tuple`]): one OID column per
+//! bound variable plus a selection vector, so a filter narrows the
+//! selection instead of copying rows and a join gathers columns by index
+//! pairs. Rows become [`Tuple`]s (or projected values) only at the
+//! result boundary.
+//!
 //! I/O is charged through [`oodb_storage::Io`] (buffer pool + seek-aware
 //! disk); CPU-ish work is reported as operation counts ([`OpCounts`]) so
 //! callers can convert with whatever cost constants they calibrate.

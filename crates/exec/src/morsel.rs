@@ -5,12 +5,12 @@
 //! But three operator segments are pure functions of shared immutable
 //! state — predicate filtering, root projection, and the probe phase of
 //! an in-memory hash join — and those dominate CPU time on cached
-//! workloads. This module splits their input into fixed-size *morsels*
-//! (à la HyPer's morsel-driven parallelism) and runs them on a scoped
-//! worker set:
+//! workloads. This module splits their input rows into fixed-size
+//! *morsels* — ranges over a batch, à la HyPer's morsel-driven
+//! parallelism — and runs them on a scoped worker set:
 //!
 //! * Workers claim morsel indexes from one atomic counter — no work
-//!   queue, no channel, no per-tuple synchronization.
+//!   queue, no channel, no per-row synchronization.
 //! * Each worker accumulates its own [`OpCounts`] and output run;
 //!   the dispatcher merges counts once and concatenates outputs **in
 //!   morsel order**, so a parallel run produces byte-identical results
@@ -21,14 +21,12 @@
 //!   enforced by the caller right after the merge, against the merged
 //!   counts.
 //! * Memory-grant accounting is untouched: callers reserve governed
-//!   bytes *before* dispatching (e.g. the hash-join build side), and
-//!   morsel outputs are ordinary result vectors, exactly as the serial
-//!   path produces.
+//!   bytes *before* dispatching (e.g. the hash-join build side).
 
 use crate::engine::{ExecError, OpCounts};
 use oodb_fault::RunLimits;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Rows per morsel. Small enough that cancellation latency stays in the
@@ -58,110 +56,68 @@ fn check_limits(limits: &RunLimits) -> Result<(), ExecError> {
     Ok(())
 }
 
-/// Splits `input` into owned morsels of at most [`MORSEL_ROWS`] rows,
-/// preserving order. Splitting from the tail keeps this O(n) in moves.
-fn into_morsels<I>(mut input: Vec<I>) -> Vec<Mutex<Option<Vec<I>>>> {
-    let n_morsels = input.len().div_ceil(MORSEL_ROWS).max(1);
-    let mut rev: Vec<Vec<I>> = Vec::with_capacity(n_morsels);
-    while input.len() > MORSEL_ROWS {
-        rev.push(input.split_off(input.len() - MORSEL_ROWS));
-    }
-    rev.push(input);
-    rev.into_iter().rev().map(|m| Mutex::new(Some(m))).collect()
-}
-
-/// Runs `work` over every item of `input` on up to `workers` threads,
-/// returning the concatenated outputs (in input order) and the merged
-/// operation counts.
+/// Runs `work` over the rows `0..len`, one morsel range at a time, on up
+/// to `workers` threads, returning the concatenated outputs (in row
+/// order) and the merged operation counts.
 ///
-/// `work` receives one owned item plus the worker's private counts and
+/// `work` receives a row range plus the worker's private counts and
 /// output run; it must be a pure function of those and of captured
-/// shared state (`&Store`, `&QueryEnv`, a built hash table). The first
-/// error — by morsel index, so failure is deterministic — aborts the
-/// dispatch: other workers stop at their next claim. A panicking worker
-/// propagates its panic to the caller after the scope joins.
-pub(crate) fn dispatch<I, T, F>(
+/// shared state (`&Store`, `&QueryEnv`, a batch, a built hash table).
+/// The first error — by morsel index, so failure is deterministic —
+/// aborts the dispatch: other workers stop at their next claim. A
+/// panicking worker propagates its panic to the caller after the scope
+/// joins.
+pub(crate) fn dispatch<T, F>(
     workers: usize,
     limits: &RunLimits,
-    input: Vec<I>,
+    len: usize,
     work: F,
 ) -> Result<(Vec<T>, OpCounts), ExecError>
 where
-    I: Send,
     T: Send,
-    F: Fn(I, &mut OpCounts, &mut Vec<T>) -> Result<(), ExecError> + Sync,
+    F: Fn(Range<usize>, &mut OpCounts, &mut Vec<T>) -> Result<(), ExecError> + Sync,
 {
-    let total = input.len();
-    let slots = into_morsels(input);
-    let n_threads = workers.clamp(1, slots.len());
+    let n_morsels = len.div_ceil(MORSEL_ROWS);
+    let n_threads = workers.clamp(1, n_morsels.max(1));
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
 
-    // (merged counts, completed morsel runs, first failure) per worker.
+    // (counts, completed morsel runs, first failure) per worker.
     type WorkerYield<T> = (OpCounts, Vec<(usize, Vec<T>)>, Option<(usize, ExecError)>);
-    let worker = |_w: usize| -> WorkerYield<T> {
+    let worker = || -> WorkerYield<T> {
         let mut counts = OpCounts::default();
-        let mut produced: Vec<(usize, Vec<T>)> = Vec::new();
-        let mut failure: Option<(usize, ExecError)> = None;
-        loop {
-            if abort.load(Ordering::Relaxed) {
-                break;
-            }
+        let mut produced = Vec::new();
+        while !abort.load(Ordering::Relaxed) {
             let idx = next.fetch_add(1, Ordering::Relaxed);
-            if idx >= slots.len() {
+            if idx >= n_morsels {
                 break;
             }
-            if let Err(e) = check_limits(limits) {
-                failure = Some((idx, e));
+            let rows = idx * MORSEL_ROWS..((idx + 1) * MORSEL_ROWS).min(len);
+            let mut out = Vec::with_capacity(rows.len());
+            if let Err(e) = check_limits(limits).and_then(|()| work(rows, &mut counts, &mut out)) {
                 abort.store(true, Ordering::Relaxed);
-                break;
+                return (counts, produced, Some((idx, e)));
             }
-            let morsel = slots[idx]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .expect("morsel index claimed twice");
-            let mut out = Vec::with_capacity(morsel.len());
-            let mut err = None;
-            for item in morsel {
-                if let Err(e) = work(item, &mut counts, &mut out) {
-                    err = Some(e);
-                    break;
-                }
-            }
-            match err {
-                Some(e) => {
-                    failure = Some((idx, e));
-                    abort.store(true, Ordering::Relaxed);
-                    break;
-                }
-                None => produced.push((idx, out)),
-            }
+            produced.push((idx, out));
         }
-        (counts, produced, failure)
+        (counts, produced, None)
     };
 
     let yields: Vec<std::thread::Result<WorkerYield<T>>> = if n_threads <= 1 {
-        vec![Ok(worker(0))]
+        vec![Ok(worker())]
     } else {
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n_threads).map(|w| s.spawn(move || worker(w))).collect();
+            let handles: Vec<_> = (0..n_threads).map(|_| s.spawn(worker)).collect();
             handles.into_iter().map(|h| h.join()).collect()
         })
     };
 
     let mut counts = OpCounts::default();
     let mut first_failure: Option<(usize, ExecError)> = None;
-    let mut runs: Vec<Option<Vec<T>>> = (0..slots.len()).map(|_| None).collect();
+    let mut runs: Vec<Option<Vec<T>>> = (0..n_morsels).map(|_| None).collect();
     for y in yields {
-        let (c, produced, failure) = match y {
-            Ok(y) => y,
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-        counts.tuples += c.tuples;
-        counts.preds += c.preds;
-        counts.hash_ops += c.hash_ops;
-        counts.derefs += c.derefs;
+        let (c, produced, failure) = y.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        counts.add(&c);
         for (idx, run) in produced {
             runs[idx] = Some(run);
         }
@@ -174,7 +130,7 @@ where
     if let Some((_, e)) = first_failure {
         return Err(e);
     }
-    let mut out = Vec::with_capacity(total);
+    let mut out = Vec::with_capacity(len);
     for run in runs {
         out.extend(run.expect("no failure reported but a morsel is missing"));
     }
@@ -188,34 +144,31 @@ mod tests {
 
     #[test]
     fn outputs_concatenate_in_input_order() {
-        let input: Vec<u64> = (0..10_000).collect();
-        let (out, counts) = dispatch(4, &RunLimits::default(), input.clone(), |x, c, out| {
-            c.tuples += 1;
-            if x % 3 == 0 {
-                out.push(x * 2);
+        let (out, counts) = dispatch(4, &RunLimits::default(), 10_000, |rows, c, out| {
+            for x in rows {
+                c.tuples += 1;
+                if x % 3 == 0 {
+                    out.push(x * 2);
+                }
             }
             Ok(())
         })
         .unwrap();
-        let expect: Vec<u64> = input
-            .iter()
-            .filter(|x| *x % 3 == 0)
-            .map(|x| x * 2)
-            .collect();
+        let expect: Vec<usize> = (0..10_000).filter(|x| x % 3 == 0).map(|x| x * 2).collect();
         assert_eq!(out, expect);
         assert_eq!(counts.tuples, 10_000);
     }
 
     #[test]
     fn single_item_and_empty_inputs_work() {
-        let (out, _) = dispatch(8, &RunLimits::default(), vec![7u32], |x, _, o| {
-            o.push(x + 1);
+        let (out, _) = dispatch(8, &RunLimits::default(), 1, |rows, _, o| {
+            o.extend(rows.map(|x| x + 7));
             Ok(())
         })
         .unwrap();
-        assert_eq!(out, vec![8]);
-        let (out, _) = dispatch(8, &RunLimits::default(), Vec::<u32>::new(), |x, _, o| {
-            o.push(x);
+        assert_eq!(out, vec![7]);
+        let (out, _) = dispatch(8, &RunLimits::default(), 0, |rows, _, o| {
+            o.extend(rows);
             Ok(())
         })
         .unwrap();
@@ -230,9 +183,8 @@ mod tests {
             cancel: Some(cancel),
             ..RunLimits::default()
         };
-        let input: Vec<u64> = (0..50_000).collect();
-        let err = dispatch(4, &limits, input, |x, _, o: &mut Vec<u64>| {
-            o.push(x);
+        let err = dispatch(4, &limits, 50_000, |rows, _, o: &mut Vec<usize>| {
+            o.extend(rows);
             Ok(())
         })
         .unwrap_err();
@@ -241,22 +193,22 @@ mod tests {
 
     #[test]
     fn first_error_by_morsel_index_wins() {
-        let input: Vec<usize> = (0..20_000).collect();
         let err = dispatch(
             4,
             &RunLimits::default(),
-            input,
-            |x, _, _: &mut Vec<usize>| {
-                // Items 5000.. fail with a budget error, item 100 with a
+            20_000,
+            |rows, _, _: &mut Vec<()>| {
+                // Rows 5000.. fail with a budget error, row 100 with a
                 // malformed-plan error; the lowest failing *morsel* holds
-                // item 100, so that error must be the one reported.
-                if x == 100 {
-                    Err(ExecError::MalformedPlan("item 100".into()))
-                } else if x >= 5000 {
-                    Err(ExecError::RowBudgetExceeded { budget: 1 })
-                } else {
-                    Ok(())
+                // row 100, so that error must be the one reported.
+                for x in rows {
+                    if x == 100 {
+                        return Err(ExecError::MalformedPlan("item 100".into()));
+                    } else if x >= 5000 {
+                        return Err(ExecError::RowBudgetExceeded { budget: 1 });
+                    }
                 }
+                Ok(())
             },
         )
         .unwrap_err();
@@ -265,12 +217,16 @@ mod tests {
 
     #[test]
     fn counts_merge_across_workers() {
-        let input: Vec<u64> = (0..30_000).collect();
-        let (_, counts) = dispatch(8, &RunLimits::default(), input, |_, c, _: &mut Vec<u64>| {
-            c.preds += 2;
-            c.hash_ops += 1;
-            Ok(())
-        })
+        let (_, counts) = dispatch(
+            8,
+            &RunLimits::default(),
+            30_000,
+            |rows, c, _: &mut Vec<()>| {
+                c.preds += 2 * rows.len() as u64;
+                c.hash_ops += rows.len() as u64;
+                Ok(())
+            },
+        )
         .unwrap();
         assert_eq!(counts.preds, 60_000);
         assert_eq!(counts.hash_ops, 30_000);

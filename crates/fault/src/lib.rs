@@ -247,7 +247,9 @@ impl FaultInjector {
     /// The read-path hook: called once per page access *before* the buffer
     /// pool. Sleeps injected latency, panics for panic-stream pages (once
     /// per page), and returns the fault for faulty pages. Transient pages
-    /// heal after [`FaultConfig::faults_per_page`] occurrences.
+    /// heal after [`FaultConfig::faults_per_page`] occurrences. The
+    /// executor makes one access per run of consecutive rows on a page,
+    /// so latency and healed-page counts are per run, not per row.
     ///
     /// # Panics
     ///

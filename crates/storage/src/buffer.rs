@@ -66,6 +66,20 @@ impl BufferPool {
         false
     }
 
+    /// Records `n` further accesses of `page` made right after an
+    /// [`BufferPool::access`] of it: `n` hits, and the page's LRU stamp
+    /// lands where `n` single accesses would have left it.
+    pub fn repeat_hits(&mut self, page: PageId, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.clock += n;
+        if let Some(stamp) = self.resident.get_mut(&page) {
+            *stamp = self.clock;
+        }
+        self.hits += n;
+    }
+
     /// (hits, misses) so far.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -103,6 +117,14 @@ impl SharedBufferPool {
     /// Records an access; `true` on a hit. See [`BufferPool::access`].
     pub fn access(&self, page: PageId) -> bool {
         self.0.lock().unwrap().access(page)
+    }
+
+    /// See [`BufferPool::repeat_hits`].
+    pub fn repeat_hits(&self, page: PageId, n: u64) {
+        self.0
+            .lock()
+            .expect("a thread panicked while holding the buffer pool")
+            .repeat_hits(page, n);
     }
 
     /// Pool-wide (hits, misses) across every sharing execution.
@@ -202,6 +224,19 @@ impl Io {
             self.disk.read_elevator(&mut missed);
         }
         (pages.len() as u64 - misses, misses)
+    }
+
+    /// Records `n` further accesses of `page` made right after a touch of
+    /// it — a run of rows on one page. Each is a buffer hit: no disk time
+    /// is charged and the fault injector is not consulted again, so an
+    /// injected fault or latency applies once per run, not once per row.
+    /// Hit/miss totals and the pool's LRU order are those of `n` single
+    /// touches.
+    pub fn repeat_hits(&mut self, page: PageId, n: u64) {
+        match &mut self.pool {
+            PoolRef::Local(p) => p.repeat_hits(page, n),
+            PoolRef::Shared(p) => p.repeat_hits(page, n),
+        }
     }
 
     /// Routes subsequent page access through a fault injector (or removes
@@ -334,6 +369,24 @@ mod tests {
         assert_eq!(shared.stats(), (1, 1));
         assert_eq!(a.disk_stats().pages(), 1);
         assert_eq!(b.disk_stats().pages(), 0);
+    }
+
+    #[test]
+    fn repeated_hits_match_single_touches() {
+        let mut single = Io::new(2, DiskParams::default());
+        let mut run = single.clone();
+        for p in [1, 1, 1, 2, 2, 1, 3, 3, 3, 2] {
+            single.touch(p);
+        }
+        for (p, n) in [(1, 3), (2, 2), (1, 1), (3, 3), (2, 1)] {
+            run.touch(p);
+            run.repeat_hits(p, n - 1);
+        }
+        assert_eq!(run.pool_stats(), single.pool_stats());
+        assert_eq!(run.disk_stats(), single.disk_stats());
+        // Same LRU order: page 2 is most recent, so touching 1 evicts 3.
+        assert_eq!(run.touch(1), single.touch(1));
+        assert_eq!(run.touch(3), single.touch(3));
     }
 
     #[test]

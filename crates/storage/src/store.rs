@@ -12,7 +12,9 @@
 use crate::disk::PageId;
 use crate::index::BuiltIndex;
 use oodb_object::{Catalog, CollectionId, FieldId, IndexId, Object, Oid, Schema, TypeId, Value};
-use std::collections::HashMap;
+
+/// Marks a `(type, field)` pair of the dense slot table that has no slot.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Page region of one type.
 #[derive(Clone, Copy, Debug)]
@@ -84,8 +86,12 @@ pub struct Store {
     members: Vec<Vec<Oid>>,
     /// Built indexes, parallel to `catalog.indexes()`.
     indexes: Vec<BuiltIndex>,
-    /// `(type, field) -> slot` cache so hot-path slot lookup is O(1).
-    slots: HashMap<(TypeId, FieldId), usize>,
+    /// Dense `(type, field) -> slot` table, row-major by type with one
+    /// entry per schema field ([`NO_SLOT`] where the field is not on the
+    /// type), so the hot-path slot lookup is one bounds-checked index.
+    slots: Vec<u32>,
+    /// Fields per row of `slots` (the schema's field count).
+    slot_stride: usize,
     next_page: PageId,
     /// When attached, executors charge page access through this shared
     /// pool instead of a private one: concurrent queries share residency
@@ -113,10 +119,11 @@ impl Store {
     pub fn new(schema: Schema, catalog: Catalog) -> Self {
         let n_types = schema.type_count();
         let n_colls = catalog.collections().count();
-        let mut slots = HashMap::new();
+        let slot_stride = schema.field_count();
+        let mut slots = vec![NO_SLOT; n_types * slot_stride];
         for (ty, _) in schema.types() {
             for (slot, f) in schema.fields_of(ty).into_iter().enumerate() {
-                slots.insert((ty, f), slot);
+                slots[ty.index() * slot_stride + f.index()] = slot as u32;
             }
         }
         Store {
@@ -127,6 +134,7 @@ impl Store {
             members: vec![Vec::new(); n_colls],
             indexes: Vec::new(),
             slots,
+            slot_stride,
             next_page: 0,
             shared_pool: None,
             fault_injector: None,
@@ -314,10 +322,17 @@ impl Store {
     /// Slot index of `field` on `ty`, reporting a layout mismatch as a
     /// typed error instead of panicking.
     pub fn try_slot(&self, ty: TypeId, field: FieldId) -> Result<usize, StoreError> {
-        self.slots
-            .get(&(ty, field))
-            .copied()
-            .ok_or(StoreError::UnknownField { ty, field })
+        let slot = if field.index() < self.slot_stride {
+            self.slots
+                .get(ty.index() * self.slot_stride + field.index())
+                .copied()
+        } else {
+            None
+        };
+        match slot {
+            Some(s) if s != NO_SLOT => Ok(s as usize),
+            _ => Err(StoreError::UnknownField { ty, field }),
+        }
     }
 
     /// Reads a field of an object (by the object's exact type layout).
@@ -561,6 +576,31 @@ mod tests {
         assert!(hits
             .iter()
             .all(|&o| o == Oid::new(t, o.seq()) && store.read_field(o, x) == &Value::Int(3)));
+    }
+
+    #[test]
+    fn slot_lookup_rejects_out_of_range_ids_with_a_typed_error() {
+        let mut b = Schema::builder();
+        let t = b.add_type("T", None);
+        let x = b.add_field(t, "x", FieldKind::Attr(AttrType::Int));
+        let u = b.add_type("U", None);
+        let y = b.add_field(u, "y", FieldKind::Attr(AttrType::Int));
+        let store = Store::new(b.build(), Catalog::new());
+        assert_eq!(store.try_slot(t, x), Ok(0));
+        assert_eq!(store.try_slot(u, y), Ok(0));
+        // A field of another type, a field id past the schema, and a type
+        // id past the schema all report the pair that was asked for.
+        for (ty, field) in [
+            (t, y),
+            (t, FieldId::from_index(2)),
+            (TypeId::from_index(2), x),
+            (TypeId::from_index(7), FieldId::from_index(9)),
+        ] {
+            assert_eq!(
+                store.try_slot(ty, field),
+                Err(StoreError::UnknownField { ty, field })
+            );
+        }
     }
 
     #[test]
