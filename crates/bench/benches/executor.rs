@@ -5,9 +5,18 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use oodb_bench::queries;
 use oodb_core::config::rule_names as rn;
 use oodb_core::{OpenOodb, OptimizerConfig};
-use oodb_exec::execute;
+use oodb_exec::{try_execute, ExecResult, ExecStats, RunLimits};
 use oodb_object::paper::paper_model_scaled;
+use oodb_storage::Store;
 use oodb_storage::{generate_paper_db, GenConfig};
+
+fn execute(
+    store: &Store,
+    env: &oodb_algebra::QueryEnv,
+    plan: &oodb_algebra::PhysicalPlan,
+) -> (ExecResult, ExecStats) {
+    try_execute(store, env, plan, RunLimits::default()).expect("execute")
+}
 use std::hint::black_box;
 
 fn bench_executor(c: &mut Criterion) {

@@ -21,7 +21,7 @@
 use oodb_bench::{queries, report::render_table};
 use oodb_core::config::rule_names as rn;
 use oodb_core::{OpenOodb, OptimizerConfig};
-use oodb_exec::{execute, Executor};
+use oodb_exec::{try_execute, Executor, RunLimits};
 use oodb_object::paper::paper_model_scaled;
 use oodb_storage::{generate_paper_db, GenConfig};
 
@@ -123,12 +123,16 @@ fn main() {
             let q = make_query();
             let opt = OpenOodb::with_config(&q.env, config);
             let out = opt.optimize(&q.plan, q.result_vars).expect("plan");
-            let (result, stats) = execute(&store, &q.env, &out.plan);
+            let (result, stats) =
+                try_execute(&store, &q.env, &out.plan, RunLimits::default()).expect("execute");
             // Morsel-parallel replay of the very same plan must be
             // byte-identical to the serial run — same rows, same order.
             let mut par = Executor::new(&store, &q.env);
-            par.set_parallelism(4);
-            if par.run(&out.plan) != result {
+            par.set_limits(RunLimits {
+                workers: 4,
+                ..Default::default()
+            });
+            if par.try_run(&out.plan).expect("morsel execute") != result {
                 morsel_identical = false;
             }
             result_sizes.push(result.len());

@@ -285,7 +285,7 @@ fn main() {
         ..Default::default()
     };
     let pending: Vec<_> = (0..burst)
-        .map(|i| pool.submit(queries[i % queries.len()].as_str(), opts))
+        .map(|i| pool.submit(queries[i % queries.len()].as_str(), opts.clone()))
         .collect();
     let (mut served, mut shed) = (0u64, 0u64);
     for p in pending {

@@ -72,7 +72,7 @@ fn run_stream(
     let wall = Instant::now();
     let pending: Vec<_> = stream
         .iter()
-        .map(|&i| pool.submit(pool_queries[i].as_str(), opts))
+        .map(|&i| pool.submit(pool_queries[i].as_str(), opts.clone()))
         .collect();
     let outputs: Vec<_> = pending
         .into_iter()

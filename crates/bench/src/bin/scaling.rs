@@ -32,7 +32,7 @@
 use oodb_algebra::{CmpOp, Operand, PhysicalOp, PhysicalPlan, PlanEst, QueryBuilder, QueryEnv};
 use oodb_bench::workload::{paper_query_pool, percentile, Zipf};
 use oodb_core::{CostParams, OptimizerConfig};
-use oodb_exec::{ExecResult, Executor};
+use oodb_exec::{ExecResult, Executor, RunLimits};
 use oodb_object::paper::PaperModel;
 use oodb_object::Value;
 use oodb_service::{QueryService, SubmitOptions, WorkerPool};
@@ -91,7 +91,7 @@ fn replay(
     let wall = Instant::now();
     let pending: Vec<_> = stream
         .iter()
-        .map(|&i| pool.submit(queries[i].as_str(), opts))
+        .map(|&i| pool.submit(queries[i].as_str(), opts.clone()))
         .collect();
     let outputs: Vec<_> = pending
         .into_iter()
@@ -187,12 +187,15 @@ fn morsel_curve(store: &Store, env: &QueryEnv, p: &PhysicalPlan) -> (Vec<MorselP
     let mut t1 = 0u64;
     for &workers in MORSEL_WORKERS {
         let mut ex = Executor::new(store, env);
-        ex.set_parallelism(workers);
-        ex.run(p); // warm the buffer pool out of the timing
+        ex.set_limits(RunLimits {
+            workers,
+            ..Default::default()
+        });
+        ex.try_run(p).expect("warm-up run"); // warm the buffer pool out of the timing
         let mut best = u64::MAX;
         for _ in 0..MORSEL_REPS {
             let wall = Instant::now();
-            let res = ex.run(p);
+            let res = ex.try_run(p).expect("morsel run");
             best = best.min(wall.elapsed().as_nanos() as u64);
             match &baseline {
                 None => baseline = Some(res),

@@ -82,7 +82,9 @@ fn inprocess_mean_ns(svc: &QueryService, rounds: usize, io_scale: f64) -> u64 {
     for _ in 0..rounds {
         for q in &queries {
             let t = Instant::now();
-            let out = svc.submit_with(q, opts).expect("in-process submit failed");
+            let out = svc
+                .submit_with(q, opts.clone())
+                .expect("in-process submit failed");
             ns.push(t.elapsed().as_nanos() as u64);
             assert!(out.cache_hit, "overhead section must run warm");
         }

@@ -148,7 +148,7 @@ pub struct ExecStats {
     /// Rows delivered at the plan root — the always-on cardinality sample
     /// the feedback loop compares against the root estimate, live even on
     /// the untraced hot path. Filled by the one-shot helpers
-    /// ([`execute`], [`try_execute`], …) from the result itself.
+    /// ([`try_execute`], [`try_execute_traced`]) from the result itself.
     pub root_rows: u64,
     /// Rows produced by leaf scans (file + index) this run — the
     /// denominator for untraced selectivity attribution.
@@ -258,10 +258,6 @@ pub struct Executor<'a> {
     /// creation; every 256th drives a limits check so a huge build is
     /// interruptible mid-loop, not only at operator boundaries.
     worked: u64,
-    /// Worker threads for morsel-parallel operator segments (filter,
-    /// root projection, in-memory hash-join probe). `1` (the default)
-    /// keeps every operator on the calling thread.
-    parallelism: usize,
 }
 
 impl<'a> Executor<'a> {
@@ -292,29 +288,20 @@ impl<'a> Executor<'a> {
             spilled_partitions: 0,
             leaf_rows: 0,
             worked: 0,
-            parallelism: 1,
         }
     }
 
-    /// Sets the worker count for morsel-parallel operator segments
-    /// (clamped to at least 1). Only pure-CPU segments parallelize —
+    /// Installs cooperative run limits for subsequent `try_run*` calls.
+    /// The limits are checked at every operator entry and exit, every
+    /// 1024 rows touched and every 256 hash/set-op work units, so a
+    /// runaway operator is interrupted mid-batch.
+    ///
+    /// [`RunLimits::workers`] above 1 runs the pure-CPU segments —
     /// predicate filters, the root projection, and in-memory hash-join
-    /// probes — and their outputs are concatenated in morsel order, so
-    /// results are byte-identical to a serial run. I/O-charging
-    /// operators always stay on the calling thread.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.parallelism = workers.max(1);
-    }
-
-    /// The configured morsel worker count.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Installs cooperative run limits for subsequent `run*` calls. The
-    /// limits are checked at every operator entry and exit, every 1024
-    /// rows touched and every 256 hash/set-op work units, so a runaway
-    /// operator is interrupted mid-batch.
+    /// probes — on that many morsel workers; their outputs are
+    /// concatenated in morsel order, so results are byte-identical to a
+    /// serial run. I/O-charging operators always stay on the calling
+    /// thread.
     pub fn set_limits(&mut self, limits: RunLimits) {
         self.limits = limits;
     }
@@ -403,15 +390,6 @@ impl<'a> Executor<'a> {
         };
     }
 
-    /// Runs a plan to completion, panicking on failure. Prefer
-    /// [`Executor::try_run`] in code that can propagate errors; this
-    /// wrapper exists for the many callers (tests, experiments) that run
-    /// trusted plans against fault-free stores.
-    pub fn run(&mut self, plan: &PhysicalPlan) -> ExecResult {
-        self.try_run(plan)
-            .unwrap_or_else(|e| panic!("execution failed: {e}"))
-    }
-
     /// Runs a plan to completion, surfacing faults, cancellation, and
     /// limit expiry as [`ExecError`]s.
     pub fn try_run(&mut self, plan: &PhysicalPlan) -> Result<ExecResult, ExecError> {
@@ -422,15 +400,9 @@ impl<'a> Executor<'a> {
 
     /// Runs a plan to completion while recording a per-operator
     /// [`OpTrace`]: actual rows, wall-clock time, and buffer/disk traffic
-    /// for every node of the plan tree. This is `EXPLAIN ANALYZE`.
-    /// Panics on failure; prefer [`Executor::try_run_traced`].
-    pub fn run_traced(&mut self, plan: &PhysicalPlan) -> (ExecResult, OpTrace) {
-        self.try_run_traced(plan)
-            .unwrap_or_else(|e| panic!("execution failed: {e}"))
-    }
-
-    /// Fallible [`Executor::run_traced`]. On error the executor leaves
-    /// traced mode cleanly, so it can be reused for further runs.
+    /// for every node of the plan tree. This is `EXPLAIN ANALYZE`. On
+    /// error the executor leaves traced mode cleanly, so it can be reused
+    /// for further runs.
     pub fn try_run_traced(
         &mut self,
         plan: &PhysicalPlan,
@@ -495,11 +467,13 @@ impl<'a> Executor<'a> {
         tick: bool,
         step: impl Fn(usize, &mut OpCounts, &mut Vec<T>) -> Result<(), ExecError> + Sync,
     ) -> Result<Vec<T>, ExecError> {
-        if self.parallelism > 1 && len >= morsel::MIN_PARALLEL_ROWS {
-            let (out, counts) =
-                morsel::dispatch(self.parallelism, &self.limits, len, |rows, counts, out| {
-                    rows.into_iter().try_for_each(|i| step(i, counts, out))
-                })?;
+        if self.limits.workers > 1 && len >= morsel::MIN_PARALLEL_ROWS {
+            let (out, counts) = morsel::dispatch(
+                self.limits.workers,
+                &self.limits,
+                len,
+                |rows, counts, out| rows.into_iter().try_for_each(|i| step(i, counts, out)),
+            )?;
             self.counts.add(&counts);
             self.checkpoint()?;
             return Ok(out);
@@ -1484,20 +1458,9 @@ impl Hasher for Digest {
     }
 }
 
-/// One-shot convenience: fresh executor, run, return result + stats.
-/// Panics on failure — use [`try_execute`] when faults, deadlines, or
-/// cancellation are in play.
-pub fn execute(store: &Store, env: &QueryEnv, plan: &PhysicalPlan) -> (ExecResult, ExecStats) {
-    let mut ex = Executor::new(store, env);
-    let result = ex.run(plan);
-    let mut stats = ex.stats();
-    stats.root_rows = result.len() as u64;
-    (result, stats)
-}
-
-/// One-shot fallible execution under cooperative [`RunLimits`]: fresh
-/// executor, run, return result + stats or the [`ExecError`] that stopped
-/// the run.
+/// One-shot execution under cooperative [`RunLimits`]: fresh executor,
+/// run, return result + stats or the [`ExecError`] that stopped the run.
+/// [`RunLimits::workers`] selects morsel-parallel execution.
 pub fn try_execute(
     store: &Store,
     env: &QueryEnv,
@@ -1512,42 +1475,8 @@ pub fn try_execute(
     Ok((result, stats))
 }
 
-/// One-shot fallible execution with a morsel worker set: like
-/// [`try_execute`] but pure-CPU operator segments (filters, root
-/// projection, in-memory hash-join probes) run on up to `workers`
-/// threads. Results are byte-identical to the serial path.
-pub fn try_execute_parallel(
-    store: &Store,
-    env: &QueryEnv,
-    plan: &PhysicalPlan,
-    limits: RunLimits,
-    workers: usize,
-) -> Result<(ExecResult, ExecStats), ExecError> {
-    let mut ex = Executor::new(store, env);
-    ex.set_limits(limits);
-    ex.set_parallelism(workers);
-    let result = ex.try_run(plan)?;
-    let mut stats = ex.stats();
-    stats.root_rows = result.len() as u64;
-    Ok((result, stats))
-}
-
-/// One-shot `EXPLAIN ANALYZE`: fresh executor, traced run, return result,
-/// stats, and the per-operator trace tree. Panics on failure — use
-/// [`try_execute_traced`] when faults or limits are in play.
-pub fn execute_traced(
-    store: &Store,
-    env: &QueryEnv,
-    plan: &PhysicalPlan,
-) -> (ExecResult, ExecStats, OpTrace) {
-    let mut ex = Executor::new(store, env);
-    let (result, trace) = ex.run_traced(plan);
-    let mut stats = ex.stats();
-    stats.root_rows = result.len() as u64;
-    (result, stats, trace)
-}
-
-/// Fallible [`execute_traced`] under cooperative [`RunLimits`].
+/// One-shot `EXPLAIN ANALYZE`: [`try_execute`] plus the per-operator
+/// trace tree.
 pub fn try_execute_traced(
     store: &Store,
     env: &QueryEnv,
@@ -1578,6 +1507,10 @@ mod tests {
 
     fn scan(coll: oodb_object::CollectionId, var: VarId) -> PhysicalPlan {
         plan(PhysicalOp::FileScan { coll, var }, vec![])
+    }
+
+    fn execute(store: &Store, env: &QueryEnv, plan: &PhysicalPlan) -> (ExecResult, ExecStats) {
+        try_execute(store, env, plan, RunLimits::default()).expect("execution")
     }
 
     #[test]
@@ -1927,9 +1860,9 @@ mod tests {
         let env = qb.into_env();
         let scan = scan(m.ids.cities, c);
         let mut ex = Executor::new(&store, &env);
-        ex.run(&scan);
+        ex.try_run(&scan).expect("first run");
         let first = ex.stats();
-        ex.run(&scan);
+        ex.try_run(&scan).expect("second run");
         let second = ex.stats();
         // Second run reports only its own work: all buffer hits (pool is
         // warm), no fresh misses, same tuple count as the first run.
@@ -1954,7 +1887,8 @@ mod tests {
         let pred = qb.cmp_const(t, m.ids.task_time, CmpOp::Eq, Value::Int(100));
         let env = qb.into_env();
         let p = plan(PhysicalOp::Filter { pred }, vec![scan(m.ids.tasks, t)]);
-        let (result, stats, trace) = execute_traced(&store, &env, &p);
+        let (result, stats, trace) =
+            try_execute_traced(&store, &env, &p, RunLimits::default()).expect("traced run");
         // The trace tree mirrors the plan tree.
         assert_eq!(trace.children.len(), 1);
         assert!(trace.label.starts_with("Filter"), "{}", trace.label);
@@ -2205,13 +2139,16 @@ mod tests {
         let (p, env) = morsel_heavy_plan(&m, qb);
 
         let mut serial = Executor::new(&store, &env);
-        let base = serial.run(&p);
+        let base = serial.try_run(&p).expect("serial run");
         let base_stats = serial.stats();
 
         for workers in [2, 4, 8] {
             let mut par = Executor::new(&store, &env);
-            par.set_parallelism(workers);
-            let res = par.run(&p);
+            par.set_limits(RunLimits {
+                workers,
+                ..Default::default()
+            });
+            let res = par.try_run(&p).expect("morsel run");
             assert_eq!(res, base, "{workers} workers");
             let stats = par.stats();
             // Identical work accounting, not just identical rows.
@@ -2233,9 +2170,9 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         let mut ex = Executor::new(&store, &env);
-        ex.set_parallelism(4);
         ex.set_limits(RunLimits {
             cancel: Some(cancel),
+            workers: 4,
             ..Default::default()
         });
         assert_eq!(ex.try_run(&p).unwrap_err(), ExecError::Cancelled);

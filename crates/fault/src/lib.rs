@@ -23,7 +23,8 @@
 //! * [`CancelToken`] — a cooperative cancellation flag shared between a
 //!   submitter and the executor, checked at operator batch boundaries.
 //! * [`RunLimits`] — the per-run admission envelope (deadline, cancel
-//!   token, row budget) threaded into the executor.
+//!   token, row budget, memory budget, morsel workers) threaded into the
+//!   executor.
 //!
 //! The disabled hot path is one relaxed atomic load per page access; the
 //! overhead of compiling the injector in but leaving it disabled is
@@ -563,6 +564,11 @@ pub struct RunLimits {
     /// stage instead of growing, and fail typed when even the minimum
     /// working unit does not fit.
     pub mem_budget: Option<u64>,
+    /// Worker threads for the executor's morsel-parallel operator
+    /// segments (filters, root projection, in-memory hash-join probes);
+    /// `0` or `1` runs serially. Results are byte-identical either way,
+    /// so this is a resource setting, not a limit.
+    pub workers: usize,
 }
 
 impl RunLimits {

@@ -389,6 +389,7 @@ fn submit_options(body: &Json, default_deadline: Option<Duration>) -> SubmitOpti
             .or(default_deadline),
         row_budget: u("row_budget"),
         retries: u("retries").unwrap_or(0) as u32,
+        cancel: None,
         mem_budget: u("mem_budget"),
         exec_workers: u("exec_workers").unwrap_or(0) as usize,
     }

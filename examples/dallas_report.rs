@@ -45,7 +45,8 @@ WHERE e.dept().plant().location() == "Dallas""#;
         println!("=== {label} — estimated {:.2} s ===", out.cost.total());
         println!("{}", render_physical(&q.env, &out.plan));
 
-        let (result, stats) = execute(&store, &q.env, &out.plan);
+        let (result, stats) =
+            try_execute(&store, &q.env, &out.plan, RunLimits::default()).expect("execute");
         println!(
             "executed: {} rows, {} simulated pages, {:.2} s simulated I/O, \
              {} buffer hits\n",

@@ -66,7 +66,8 @@ WHERE t.time() == 100
     for (label, names) in scenarios {
         let available: HashSet<String> = names.iter().map(|s| s.to_string()).collect();
         let chosen = dynamic.select(&available);
-        let (result, stats) = execute(&store, &q.env, &chosen.plan);
+        let (result, stats) =
+            try_execute(&store, &q.env, &chosen.plan, RunLimits::default()).expect("execute");
         println!(
             "{label}: plan requiring {:?} -> {} rows, {:.3} s simulated I/O",
             chosen.requires,

@@ -68,7 +68,8 @@ FROM City c IN Cities WHERE c.mayor().name() == "Joe""#;
         out.cost.total(),
         render_physical(&q.env, &out.plan)
     );
-    let (result, stats) = execute(&store, &q.env, &out.plan);
+    let (result, stats) =
+        try_execute(&store, &q.env, &out.plan, RunLimits::default()).expect("execute");
     println!(
         "executed: {} rows, {} simulated pages\n",
         result.len(),

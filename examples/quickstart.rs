@@ -38,7 +38,8 @@ fn main() {
     );
 
     // 4. Execute against the simulated store.
-    let (result, stats) = execute(&store, &q.env, &out.plan);
+    let (result, stats) =
+        try_execute(&store, &q.env, &out.plan, RunLimits::default()).expect("execute");
     println!(
         "\nExecuted: {} matching cities, {} simulated pages read \
          ({:.3} s of simulated I/O)",

@@ -64,7 +64,7 @@ pub mod prelude {
         LogicalOp, LogicalPlan, PhysicalOp, PhysicalPlan, QueryBuilder, QueryEnv, VarSet,
     };
     pub use oodb_core::{greedy_plan, Cost, CostParams, OpenOodb, OptimizerConfig};
-    pub use oodb_exec::{execute, execute_traced, try_execute, try_execute_traced, Executor};
+    pub use oodb_exec::{try_execute, try_execute_traced, Executor};
     pub use oodb_fault::{CancelToken, FaultConfig, FaultInjector, RunLimits};
     pub use oodb_mem::{MemoryGovernor, MemoryGrant, PressureLevel};
     pub use oodb_object::paper::{paper_model, paper_model_scaled};

@@ -10,7 +10,7 @@
 //! `OODB_AUDIT_QUICK=1` (the CI audit job) shrinks the store and the
 //! enumeration limits so the corpus runs in seconds.
 
-use oodb_exec::ExecResult;
+use oodb_exec::{ExecResult, ExecStats};
 use open_oodb::prelude::*;
 use open_oodb::volcano::EnumLimits;
 use open_oodb::zql;
@@ -29,6 +29,10 @@ fn limits() -> EnumLimits {
     } else {
         EnumLimits::default()
     }
+}
+
+fn execute(store: &Store, env: &QueryEnv, plan: &PhysicalPlan) -> (ExecResult, ExecStats) {
+    try_execute(store, env, plan, RunLimits::default()).expect("execution")
 }
 
 fn db() -> (Store, open_oodb::object::paper::PaperModel) {
@@ -182,7 +186,8 @@ fn traced_actuals_stay_inside_intervals_on_seed_corpus() {
         let out = OpenOodb::with_config(&q.env, OptimizerConfig::all_rules())
             .optimize(&q.plan, q.result_vars)
             .expect("plan");
-        let (_, _, trace) = execute_traced(&store, &q.env, &out.plan);
+        let (_, _, trace) = try_execute_traced(&store, &q.env, &out.plan, RunLimits::default())
+            .expect("traced execution");
         let diags = open_oodb::core::verify::check_actual_cards(&q.env, &out.plan, &trace);
         assert!(diags.is_empty(), "{src}: {diags:?}");
     }

@@ -3,9 +3,14 @@
 //! independent oracle, across competing rule configurations.
 
 use oodb_core::config::rule_names as rn;
+use open_oodb::exec::{ExecResult, ExecStats};
 use open_oodb::prelude::*;
 use open_oodb::zql;
 use std::collections::HashSet;
+
+fn execute(store: &Store, env: &QueryEnv, plan: &PhysicalPlan) -> (ExecResult, ExecStats) {
+    try_execute(store, env, plan, RunLimits::default()).expect("execution")
+}
 
 fn db() -> (Store, open_oodb::object::paper::PaperModel) {
     generate_paper_db(GenConfig {

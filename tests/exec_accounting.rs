@@ -60,8 +60,9 @@ fn trace_rows(t: &OpTrace, out: &mut Vec<u64>) {
 
 /// One golden line for one plan: untraced stats plus traced actuals.
 fn line(label: &str, store: &Store, env: &QueryEnv, plan: &PhysicalPlan) -> String {
-    let (result, s) = execute(store, env, plan);
-    let (traced, ts, trace) = execute_traced(store, env, plan);
+    let (result, s) = try_execute(store, env, plan, RunLimits::default()).expect("execute");
+    let (traced, ts, trace) =
+        try_execute_traced(store, env, plan, RunLimits::default()).expect("traced execute");
     assert_eq!(traced, result, "{label}: traced result differs");
     assert_eq!(
         (ts.buffer_hits, ts.buffer_misses, ts.disk.total_s.to_bits()),
@@ -187,10 +188,14 @@ fn validation_lines(out: &mut String) {
             writeln!(out, "{}", line(&label, &store, &q.env, &plan)).unwrap();
             // The 4-worker morsel replay is byte-identical to the serial
             // run, with identical accounting.
-            let (serial, s) = execute(&store, &q.env, &plan);
+            let (serial, s) =
+                try_execute(&store, &q.env, &plan, RunLimits::default()).expect("execute");
             let mut par = Executor::new(&store, &q.env);
-            par.set_parallelism(4);
-            let parallel: ExecResult = par.run(&plan);
+            par.set_limits(RunLimits {
+                workers: 4,
+                ..Default::default()
+            });
+            let parallel: ExecResult = par.try_run(&plan).expect("morsel execute");
             assert_eq!(parallel, serial, "{label}: morsel run diverged");
             let p = par.stats();
             assert_eq!(p.counts, s.counts, "{label}: morsel counts diverged");

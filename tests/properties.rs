@@ -214,7 +214,8 @@ proptest! {
         );
 
         for out in [&optimal, &naive] {
-            let (result, _) = execute(store, &env, &out.plan);
+            let (result, _) =
+                try_execute(store, &env, &out.plan, RunLimits::default()).expect("execute");
             let got: std::collections::HashSet<oodb_object::Oid> =
                 result.tuples().iter().map(|t| t.get(e_var)).collect();
             prop_assert_eq!(&got, &expected);

@@ -98,7 +98,7 @@ fn chaos_replay_under_transient_faults() {
             ..Default::default()
         };
         let pending: Vec<_> = (0..submissions)
-            .map(|i| pool.submit(QUERIES[i % QUERIES.len()].to_string(), opts))
+            .map(|i| pool.submit(QUERIES[i % QUERIES.len()].to_string(), opts.clone()))
             .collect();
         let mut total_retries = 0u64;
         for (i, p) in pending.into_iter().enumerate() {
@@ -246,13 +246,16 @@ fn cancellation_is_a_typed_error() {
     let svc = service();
     let cancel = CancelToken::new();
     cancel.cancel();
+    let with = |cancel: CancelToken| SubmitOptions {
+        cancel: Some(cancel),
+        ..Default::default()
+    };
     assert_eq!(
-        svc.submit_cancellable(QUERIES[1], SubmitOptions::default(), &cancel),
+        svc.submit_with(QUERIES[1], with(cancel)),
         Err(ServiceError::Cancelled)
     );
-    let fresh = CancelToken::new();
     assert!(svc
-        .submit_cancellable(QUERIES[1], SubmitOptions::default(), &fresh)
+        .submit_with(QUERIES[1], with(CancelToken::new()))
         .is_ok());
 }
 
@@ -487,7 +490,7 @@ fn memory_saturation_sheds_but_completes_inflight() {
         ..Default::default()
     };
     let pending: Vec<_> = (0..24)
-        .map(|i| pool.submit(QUERIES[i % QUERIES.len()].to_string(), opts))
+        .map(|i| pool.submit(QUERIES[i % QUERIES.len()].to_string(), opts.clone()))
         .collect();
     let (mut served, mut shed) = (0u64, 0u64);
     for (i, p) in pending.into_iter().enumerate() {

@@ -17,7 +17,7 @@ use oodb_core::optimizer::{extract_anchored, seed};
 use oodb_core::rules::rule_set;
 use oodb_core::verify;
 use oodb_core::{CostParams, OodbModel, OpenOodb, OptimizerConfig};
-use oodb_exec::{execute, ExecResult};
+use oodb_exec::{try_execute, ExecResult, RunLimits};
 use oodb_object::paper::PaperModel;
 use oodb_object::Value;
 use oodb_storage::{generate_paper_db, GenConfig, Store};
@@ -134,7 +134,7 @@ fn run_tree(store: &Store, env: &QueryEnv, tree: &LogicalPlan, vars: VarSet) -> 
         "winning plan of a harness tree failed verification: {:?}",
         out.diagnostics
     );
-    let (result, _) = execute(store, env, &out.plan);
+    let (result, _) = try_execute(store, env, &out.plan, RunLimits::default()).expect("execute");
     canonical_rows(env, vars, &result)
 }
 

@@ -44,7 +44,7 @@ fn root_trace_rows_equal_result_cardinality() {
         ..Default::default()
     };
     for q in QUERIES {
-        let out = svc.submit_with(q, opts).unwrap();
+        let out = svc.submit_with(q, opts.clone()).unwrap();
         let trace = out.trace.as_ref().expect("trace requested");
         assert_eq!(
             trace.actual_rows, out.row_count as u64,
@@ -160,7 +160,7 @@ fn interval_audit_counters_are_zero_on_seed_corpus() {
         ..Default::default()
     };
     for q in QUERIES {
-        svc.submit_with(q, opts).unwrap();
+        svc.submit_with(q, opts.clone()).unwrap();
     }
     let text = svc.metrics_prometheus();
     assert!(
